@@ -540,9 +540,6 @@ def _reuse_stats_line(context) -> str:
         f"subquery cache: {context.subquery_hits} hits, "
         f"{context.subquery_misses} misses, "
         f"{context.subquery_patches} patches; "
-        f"locality: {context.locality_clusters} clusters, "
-        f"{context.locality_seeded} seeded, "
-        f"{context.locality_retested} re-tested; "
         f"shard fallbacks: {context.shard_fallbacks}"
     )
 

@@ -200,8 +200,8 @@ def count_routes_within_sq(
     :class:`~repro.geometry.bbox.BoundingBox` methods — ``backend="python"``
     never touches numpy machinery, and MaxDist stays a pop-time computation
     so children pushed but never popped don't pay for it.  Both backends
-    evaluate the same elementary-float expressions, so the traversal visits
-    exactly the nodes the node-at-a-time loop visited.  Early exits and the
+    evaluate the same elementary-float expressions, so both visit exactly
+    the same nodes.  Early exits and the
     NList shortcut still apply at pop time.  Keep structural changes in
     sync with :func:`count_routes_within`.
     """

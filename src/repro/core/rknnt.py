@@ -50,7 +50,7 @@ from repro.core.semantics import EXISTS, Semantics
 from repro.engine import resilience
 from repro.engine.context import ExecutionContext
 from repro.engine.continuous import ContinuousRkNNT, ResultDelta, Subscription
-from repro.engine.executor import execute
+from repro.engine.executor import execute, execute_batch
 from repro.engine.plan import (
     DIVIDE_CONQUER,
     FILTER_REFINE,
@@ -515,12 +515,6 @@ class RkNNTProcessor:
             # answer serially and record the fallback.  Persistent pools
             # (handled above) are exempt: their setup cost is sunk.
             self.engine_context.shard_fallbacks += 1
-        # The locality engine owns the serial batch loop: with
-        # RKNNT_LOCALITY off (the default) it degenerates to exactly one
-        # ``execute`` call per job; with it on, spatially clustered jobs
-        # share their pilot's filter set (answers identical either way).
-        from repro.engine.locality import execute_batch
-
         return execute_batch(
             self.engine_context, jobs, k, plan, semantics, deadline=deadline
         )

@@ -182,62 +182,6 @@ class QueryWorkload:
             for _ in range(count)
         ]
 
-    def clustered_query_routes(
-        self,
-        count: int,
-        length: int,
-        interval: float,
-        clusters: int = 4,
-        spread: float = 0.35,
-        heading_jitter_degrees: float = 30.0,
-    ) -> List[List[Tuple[float, float]]]:
-        """``count`` query routes grouped into spatial clusters.
-
-        Models the query-locality workloads of Section 7.2: ``clusters``
-        cluster centres are drawn from the existing route points, and each
-        query starts at a Gaussian perturbation (``spread`` map units) of its
-        cluster's centre.  All queries of a cluster share a base heading with
-        at most ``heading_jitter_degrees`` of per-query jitter, so routes in
-        a cluster stay close along their whole length — the property the
-        locality engine's δ-margin (a directed Hausdorff bound) exploits.
-        Queries are assigned to clusters round-robin, so any prefix of the
-        returned list covers every cluster.
-        """
-        if count < 1:
-            raise ValueError("count must be at least 1")
-        if clusters < 1:
-            raise ValueError("clusters must be at least 1")
-        centres = [
-            self.rng.choice(self._route_points)
-            for _ in range(min(clusters, count))
-        ]
-        base_headings = [
-            self.rng.uniform(0.0, 2.0 * math.pi) for _ in centres
-        ]
-        jitter = math.radians(heading_jitter_degrees)
-        max_step_turn = jitter / max(1, length - 1) if length > 1 else 0.0
-        routes: List[List[Tuple[float, float]]] = []
-        for index in range(count):
-            which = index % len(centres)
-            cx, cy = centres[which]
-            start = (
-                self.rng.gauss(cx, spread),
-                self.rng.gauss(cy, spread),
-            )
-            heading = base_headings[which] + self.rng.uniform(-jitter, jitter)
-            points = [start]
-            for _ in range(length - 1):
-                heading += self.rng.uniform(-max_step_turn, max_step_turn)
-                previous = points[-1]
-                points.append(
-                    (
-                        previous[0] + interval * math.cos(heading),
-                        previous[1] + interval * math.sin(heading),
-                    )
-                )
-            routes.append(points)
-        return routes
-
     def existing_route_queries(
         self, count: Optional[int] = None
     ) -> List[int]:

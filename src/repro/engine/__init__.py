@@ -19,7 +19,8 @@ This package factors that pipeline out of the per-method modules:
 * :mod:`repro.engine.filterset` — the filtering set ``S_filter`` with packed
   array views for the vectorized kernels;
 * :mod:`repro.engine.executor` — :class:`QueryExecutor` (the staged
-  pipeline) and the :func:`execute` entry point;
+  pipeline), the :func:`execute` entry point and :func:`execute_batch`,
+  the serial batch loop (one :func:`execute` call per query);
 * :mod:`repro.engine.parallel` — :class:`ShardedExecutor`, which shards
   batch workloads across a process pool with one private context per
   worker and deterministic result re-ordering; reusable as the processor's
@@ -38,10 +39,6 @@ This package factors that pipeline out of the per-method modules:
 * :mod:`repro.engine.faults` — deterministic fault injection: named
   injection points threaded through the serving stack, driven by the
   ``RKNNT_FAULTS`` spec so every chaos run reproduces.
-* :mod:`repro.engine.locality` — the query-locality engine
-  (``RKNNT_LOCALITY``): spatially clustered batch queries share one
-  pilot's filter set per cluster, with a δ-margin TR-tree prune and exact
-  per-member re-testing, so answers stay identical to the unshared path.
 
 The geometry kernels themselves live in :mod:`repro.geometry.kernels`; the
 engine is backend-agnostic and produces element-wise identical answers on
@@ -56,9 +53,8 @@ from repro.engine.continuous import (
     ResultDelta,
     Subscription,
 )
-from repro.engine.executor import QueryExecutor, execute
+from repro.engine.executor import QueryExecutor, execute, execute_batch
 from repro.engine.filterset import FilterSet
-from repro.engine.locality import cluster_jobs, execute_batch
 from repro.engine.parallel import ShardedExecutor
 from repro.engine.resilience import (
     ArenaAttachError,
@@ -74,11 +70,7 @@ from repro.engine.resilience import (
 from repro.engine.plan import (
     DIVIDE_CONQUER,
     FILTER_REFINE,
-    LOCALITY_OFF,
-    LOCALITY_ON,
     METHODS,
-    TRAVERSAL_BLOCK,
-    TRAVERSAL_NODE,
     QueryPlan,
     VORONOI,
 )
@@ -96,8 +88,6 @@ __all__ = [
     "ExecutionContext",
     "FILTER_REFINE",
     "FilterSet",
-    "LOCALITY_OFF",
-    "LOCALITY_ON",
     "METHODS",
     "PoolSaturated",
     "QueryExecutor",
@@ -108,12 +98,9 @@ __all__ = [
     "ShardedExecutor",
     "Subscription",
     "SyncLogError",
-    "TRAVERSAL_BLOCK",
-    "TRAVERSAL_NODE",
     "UpdateStreamError",
     "VORONOI",
     "WorkerCrashError",
-    "cluster_jobs",
     "execute",
     "execute_batch",
 ]

@@ -215,13 +215,6 @@ class ExecutionContext:
         #: cached answers, and wholesale clears that were actually forced.
         self.subquery_patches = 0
         self.subquery_clears = 0
-        #: Query-locality engine statistics (see ``engine/locality.py``):
-        #: multi-member clusters executed, neighbour queries seeded from a
-        #: pilot's filter set, and shared candidates re-tested against a
-        #: neighbour's exact predicate.
-        self.locality_clusters = 0
-        self.locality_seeded = 0
-        self.locality_retested = 0
         #: Batches that asked for a per-call worker pool but ran serially
         #: instead — fewer than two usable CPUs, or a batch smaller than
         #: ``RKNNT_MIN_SHARD_BATCH`` (see ``engine/parallel.py``).
@@ -403,17 +396,6 @@ class ExecutionContext:
             self.subquery_hits += 1
         return answer
 
-    def subquery_cached(self, key: SubqueryKey) -> bool:
-        """Membership peek that does **not** touch the hit/miss counters.
-
-        The query-locality pre-pass (see ``engine/locality.py``) uses this
-        to decide which sub-queries still need resolving; counting those
-        peeks would make the shared-path statistics diverge from the
-        unshared run, breaking the differential counter discipline.
-        """
-        self._validate_subqueries()
-        return key in self._subqueries
-
     def subquery_store(self, key: SubqueryKey, confirmed: ConfirmedMap) -> None:
         """Memoise the answer of a single-point sub-query."""
         if not self._delta_listener_attached:
@@ -447,9 +429,6 @@ class ExecutionContext:
         state["subquery_misses"] = 0
         state["subquery_patches"] = 0
         state["subquery_clears"] = 0
-        state["locality_clusters"] = 0
-        state["locality_seeded"] = 0
-        state["locality_retested"] = 0
         state["shard_fallbacks"] = 0
         state["_pending_deltas"] = []
         state["_delta_overflow"] = False
@@ -484,9 +463,6 @@ class ExecutionContext:
         self.subquery_misses = 0
         self.subquery_patches = 0
         self.subquery_clears = 0
-        self.locality_clusters = 0
-        self.locality_seeded = 0
-        self.locality_retested = 0
         self.shard_fallbacks = 0
 
     #: Counter fields shipped back from shard workers (see
@@ -496,14 +472,11 @@ class ExecutionContext:
         "subquery_misses",
         "subquery_patches",
         "subquery_clears",
-        "locality_clusters",
-        "locality_seeded",
-        "locality_retested",
         "shard_fallbacks",
     )
 
     def counter_snapshot(self) -> Dict[str, int]:
-        """Current values of every reuse/locality counter, by name.
+        """Current values of every reuse counter, by name.
 
         Shard workers snapshot before and after executing their slice and
         ship the difference home, so the parent context's counters reflect

@@ -19,7 +19,6 @@ either backend; only the speed differs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 from repro.geometry.kernels import BACKEND_AUTO, resolve_backend
@@ -28,82 +27,6 @@ FILTER_REFINE = "filter-refine"
 VORONOI = "voronoi"
 DIVIDE_CONQUER = "divide-conquer"
 METHODS = (FILTER_REFINE, VORONOI, DIVIDE_CONQUER)
-
-#: Filter-phase traversal styles (see ``engine/executor.py``):
-#: ``"block"`` expands all children of the best node per kernel call,
-#: ``"node"`` is the node-at-a-time heap loop of the original engine.
-#: Both make identical decisions; only the speed differs.
-TRAVERSAL_AUTO = "auto"
-TRAVERSAL_BLOCK = "block"
-TRAVERSAL_NODE = "node"
-TRAVERSALS = (TRAVERSAL_AUTO, TRAVERSAL_BLOCK, TRAVERSAL_NODE)
-
-#: Set ``RKNNT_FILTER_TRAVERSAL=node`` to globally force the node-at-a-time
-#: filter traversal (used by the traversal-equivalence benchmark and as an
-#: escape hatch).
-TRAVERSAL_ENV = "RKNNT_FILTER_TRAVERSAL"
-
-#: Query-locality engine (see ``engine/locality.py``): ``"on"`` clusters a
-#: batch workload spatially, runs one pilot per cluster and seeds the
-#: neighbours from the pilot's retained filter set.  Answers are identical
-#: with the engine on or off; only the work done differs.
-LOCALITY_AUTO = "auto"
-LOCALITY_ON = "on"
-LOCALITY_OFF = "off"
-LOCALITIES = (LOCALITY_AUTO, LOCALITY_ON, LOCALITY_OFF)
-
-#: Set ``RKNNT_LOCALITY=1`` to enable the query-locality engine for batch
-#: and standing workloads whose plan leaves ``locality="auto"``.
-LOCALITY_ENV = "RKNNT_LOCALITY"
-
-
-def default_locality() -> str:
-    """Resolve ``"auto"``: on when ``RKNNT_LOCALITY`` is truthy, else off.
-
-    Invalid values fall back to off — a mistyped tuning knob must never
-    change answers or crash a query.
-    """
-    value = os.environ.get(LOCALITY_ENV, "").strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return LOCALITY_ON
-    return LOCALITY_OFF
-
-
-def resolve_locality(locality: str) -> str:
-    """Validate a locality mode and resolve ``"auto"`` to a concrete one."""
-    if locality not in LOCALITIES:
-        raise ValueError(
-            f"unknown locality mode {locality!r}; expected one of {LOCALITIES}"
-        )
-    if locality == LOCALITY_AUTO:
-        return default_locality()
-    return locality
-
-
-def default_filter_traversal() -> str:
-    """Resolve ``"auto"``: the env override when set, else block expansion."""
-    value = os.environ.get(TRAVERSAL_ENV, "").strip().lower()
-    if value in (TRAVERSAL_BLOCK, TRAVERSAL_NODE):
-        return value
-    return TRAVERSAL_BLOCK
-
-
-def resolve_traversal(traversal: str) -> str:
-    """Validate a traversal name and resolve ``"auto"`` to a concrete style.
-
-    The single source of truth for traversal resolution — both
-    :meth:`QueryPlan.resolved` and direct :class:`~repro.engine.executor
-    .QueryExecutor` construction go through it (mirroring how backend
-    resolution lives only in :func:`repro.geometry.kernels.resolve_backend`).
-    """
-    if traversal not in TRAVERSALS:
-        raise ValueError(
-            f"unknown filter traversal {traversal!r}; "
-            f"expected one of {TRAVERSALS}"
-        )
-    if traversal == TRAVERSAL_AUTO:
-        return default_filter_traversal()
-    return traversal
 
 
 @dataclass(frozen=True)
@@ -128,18 +51,6 @@ class QueryPlan:
         where repeated points are common (divide & conquer over overlapping
         routes, per-vertex planning pre-computation); disabled for one-shot
         queries so their reported statistics reflect the work actually done.
-    filter_traversal:
-        RR-tree filter-phase traversal: ``"block"`` (expand whole child
-        blocks per kernel call), ``"node"`` (the original node-at-a-time
-        loop) or ``"auto"`` (the ``RKNNT_FILTER_TRAVERSAL`` env override,
-        defaulting to block expansion).  Answers and traversal statistics
-        are identical either way.
-    locality:
-        Query-locality engine (``engine/locality.py``): ``"on"`` shares
-        pilot filter sets across spatially clustered batch queries,
-        ``"off"`` runs every query independently, ``"auto"`` follows the
-        ``RKNNT_LOCALITY`` environment knob (default off).  Answers are
-        identical either way.
     """
 
     method: str
@@ -147,8 +58,6 @@ class QueryPlan:
     decompose: bool
     backend: str = BACKEND_AUTO
     share_subquery_cache: bool = False
-    filter_traversal: str = TRAVERSAL_AUTO
-    locality: str = LOCALITY_AUTO
 
     @classmethod
     def for_method(
@@ -171,10 +80,5 @@ class QueryPlan:
         )
 
     def resolved(self) -> "QueryPlan":
-        """A copy with every ``"auto"`` knob resolved to a concrete choice."""
-        return replace(
-            self,
-            backend=resolve_backend(self.backend),
-            filter_traversal=resolve_traversal(self.filter_traversal),
-            locality=resolve_locality(self.locality),
-        )
+        """A copy with the ``"auto"`` backend resolved to a concrete one."""
+        return replace(self, backend=resolve_backend(self.backend))

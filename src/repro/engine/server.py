@@ -757,9 +757,6 @@ class RkNNTServer:
             {
                 "subquery_hits": context.subquery_hits,
                 "subquery_misses": context.subquery_misses,
-                "locality_clusters": context.locality_clusters,
-                "locality_seeded": context.locality_seeded,
-                "locality_retested": context.locality_retested,
                 "shard_fallbacks": context.shard_fallbacks,
             }
         )

@@ -11,16 +11,47 @@ query ``Q`` is the intersection ``H_{r:Q} = ∩_{q∈Q} H_{r:q}`` (Definition 6)
 A transition point (or a whole R-tree node) located inside ``H_{r:Q}`` is
 closer to ``r`` — and therefore to ``r``'s route — than to *every* point of
 the query, so the query cannot be its nearest route.
+
+Box containment is a pruning certificate, so it must never disagree with the
+verification stage, which compares *squared* float distances.  The linear
+form ``2(r-q)·p > |r|² - |q|²`` rounds differently from those squares: at a
+near-tie (e.g. ``r`` a subnormal step from ``q``) it can order a point that
+the squares call equidistant, and far from the origin ``|r|² - |q|²``
+cancels until it can misorder points outright.  :meth:`HalfPlane.contains_bbox` therefore
+demands a margin that bounds the rounding of both forms, so a pruned box
+holds only points whose squared distance to ``r`` is strictly below their
+squared distance to ``q`` as the verification stage computes them.  Near-ties
+fall through to verification, which decides them exactly as the brute-force
+oracle does.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import squared_euclidean
+
+#: Relative part of the box-containment margin, per unit of squared
+#: coordinate magnitude (``|r|² + |q|²`` plus the box's largest squared
+#: corner norm).  The rounding of the linear form and of the two squared
+#: distances stays below ``20u`` of that magnitude (``u = 2⁻⁵³``); 1e-14 is
+#: about ``90u``.
+CONTAINMENT_REL_MARGIN = 1e-14
+#: Absolute part of the margin: covers gradual-underflow error, at most a few
+#: multiples of ``2⁻¹⁰⁷⁴`` per elementary operation.
+CONTAINMENT_ABS_MARGIN = 1e-300
+
+
+def box_norm_sq(min_x: float, min_y: float, max_x: float, max_y: float) -> float:
+    """Largest squared norm of a point of the box (at one of its corners).
+
+    ``max(-min, max)`` equals ``max(|min|, |max|)`` whenever ``min <= max``.
+    """
+    x = max_x if max_x > -min_x else -min_x
+    y = max_y if max_y > -min_y else -min_y
+    return x * x + y * y
 
 
 @dataclass(frozen=True)
@@ -35,20 +66,29 @@ class HalfPlane:
     a: float
     b: float
     c: float
+    #: The pair's share of the rounding margin:
+    #: ``CONTAINMENT_REL_MARGIN * (|r|² + |q|²) + CONTAINMENT_ABS_MARGIN``.
+    slack: float = CONTAINMENT_ABS_MARGIN
 
     def contains_point(self, point: Sequence[float]) -> bool:
         """True when ``point`` lies strictly inside the half-plane."""
         return self.a * point[0] + self.b * point[1] > self.c
 
     def contains_bbox(self, box: BoundingBox) -> bool:
-        """True when the whole box lies strictly inside the half-plane.
+        """True when the whole box lies inside the half-plane by a margin.
 
         Because the half-plane is convex it suffices to check the corner of
-        the box that minimises ``a*x + b*y``.
+        the box that minimises ``a*x + b*y``.  That corner must clear ``c``
+        by ``slack`` plus :data:`CONTAINMENT_REL_MARGIN` times the box's
+        squared norm, so every point of the box is strictly closer to the
+        filtering point in squared float distance (see the module notes).
         """
         x = box.min_x if self.a >= 0 else box.max_x
         y = box.min_y if self.b >= 0 else box.max_y
-        return self.a * x + self.b * y > self.c
+        bound = (self.c + self.slack) + CONTAINMENT_REL_MARGIN * box_norm_sq(
+            box.min_x, box.min_y, box.max_x, box.max_y
+        )
+        return self.a * x + self.b * y > bound
 
 
 def bisector_halfplane(
@@ -71,8 +111,10 @@ def bisector_halfplane(
     rx, ry = filter_point[0], filter_point[1]
     a = 2.0 * (rx - qx)
     b = 2.0 * (ry - qy)
-    c = (rx * rx + ry * ry) - (qx * qx + qy * qy)
-    return HalfPlane(a, b, c)
+    rr = rx * rx + ry * ry
+    qq = qx * qx + qy * qy
+    slack = CONTAINMENT_REL_MARGIN * (rr + qq) + CONTAINMENT_ABS_MARGIN
+    return HalfPlane(a, b, rr - qq, slack)
 
 
 def point_closer_to(
@@ -93,7 +135,8 @@ def bbox_inside_halfplane(
 ) -> bool:
     """True when every point of ``box`` is strictly closer to ``filter_point``.
 
-    Equivalent to ``box ⊂ H_{r:q}``; used to prune whole R-tree nodes.
+    Equivalent to ``box ⊂ H_{r:q}`` (with the rounding margin of
+    :meth:`HalfPlane.contains_bbox`); used to prune whole R-tree nodes.
     """
     return bisector_halfplane(query_point, filter_point).contains_bbox(box)
 
@@ -124,102 +167,42 @@ def filtering_space_contains_bbox(
 
     Every point of ``box`` must be strictly closer to ``filter_point`` than to
     every query point; since each ``H_{r:q}`` is convex, checking the
-    worst-case corner per half-plane is exact.
+    worst-case corner per half-plane (with the rounding margin of
+    :meth:`HalfPlane.contains_bbox`) decides the whole box.
     """
+    return points_dominate_bbox(box, (filter_point,), query_points)
+
+
+def points_dominate_bbox(
+    box: BoundingBox,
+    filter_points: Sequence[Sequence[float]],
+    query_points: Iterable[Sequence[float]],
+) -> bool:
+    """True when, for every query point ``q``, some filter point ``r`` has
+    the whole ``box`` inside ``H_{r:q}``.
+
+    The test of :meth:`HalfPlane.contains_bbox`, rounding margin included,
+    evaluated inline: this is the scalar backend's hot loop, so it builds no
+    :class:`HalfPlane` objects and computes the box's share of the margin
+    and each point's squared norm once per call.  A single filter point
+    gives the filtering space ``H_{r:Q}`` (Definition 6); a route's filter
+    points give its Voronoi filtering space (Definition 8).
+    """
+    min_x, min_y, max_x, max_y = box.min_x, box.min_y, box.max_x, box.max_y
+    rel = CONTAINMENT_REL_MARGIN
+    abs_margin = CONTAINMENT_ABS_MARGIN
+    box_margin = rel * box_norm_sq(min_x, min_y, max_x, max_y)
+    rows = [(r[0], r[1], r[0] * r[0] + r[1] * r[1]) for r in filter_points]
     for q in query_points:
-        if not bisector_halfplane(q, filter_point).contains_bbox(box):
+        qx, qy = q[0], q[1]
+        qq = qx * qx + qy * qy
+        for rx, ry, rr in rows:
+            a = 2.0 * (rx - qx)
+            b = 2.0 * (ry - qy)
+            x = min_x if a >= 0 else max_x
+            y = min_y if b >= 0 else max_y
+            if a * x + b * y > ((rr - qq) + (rel * (rr + qq) + abs_margin)) + box_margin:
+                break
+        else:
             return False
     return True
-
-
-# ----------------------------------------------------------------------
-# Translated half-spaces (the query-locality engine's reuse bound)
-# ----------------------------------------------------------------------
-def margin_dominates_bbox(
-    box: BoundingBox,
-    filter_point: Sequence[float],
-    query_points: Sequence[Sequence[float]],
-    delta: float,
-) -> bool:
-    """δ-margin filtering-space test: ``box ⊂ H_{r:Q′}`` for every query
-    ``Q′`` within directed Hausdorff distance ``delta`` of ``Q``.
-
-    The exact condition ``dist(p, r) < dist(p, q′)`` cannot be tested
-    without knowing ``q′``; the triangle inequality gives the sufficient
-    (conservative) bound
-
-        MaxDist(box, r) + δ  <  min over q ∈ Q of MinDist(box, q)
-
-    since ``dist(p, q′) ≥ dist(p, q) − |q q′| ≥ MinDist(box, q) − δ`` for
-    the pilot point ``q`` nearest ``q′``.  Note the *linearly shifted*
-    bisector half-plane is **not** a sound translation — the true margin
-    region ``{p : dist(p, q) − dist(p, r) > δ}`` is bounded by a hyperbola
-    strictly inside the shifted half-plane — which is why this predicate
-    compares square roots instead of shifting ``c``.  Exact for degenerate
-    (point) boxes; conservative otherwise, which is the safe direction.
-    """
-    return delta < margin_slack_bbox(box, filter_point, query_points)
-
-
-def margin_slack_bbox(
-    box: BoundingBox,
-    filter_point: Sequence[float],
-    query_points: Sequence[Sequence[float]],
-) -> float:
-    """The largest δ below which :func:`margin_dominates_bbox` holds.
-
-        slack  =  (min over q ∈ Q of MinDist(box, q))  −  MaxDist(box, r)
-
-    so ``margin_dominates_bbox(box, r, Q, δ) ⇔ δ < slack``.  The locality
-    engine stores each shared candidate's slack once (computed during the
-    pilot's margin traversal) and lets every cluster member prune it by
-    comparing its *own* — usually much smaller — Hausdorff distance against
-    it, instead of re-running an exact filter test per member.  Negative
-    slack means not even the exact (δ = 0) conservative bound prunes the
-    box.  Both backends evaluate the identical IEEE expression, so the
-    shared/unshared differential discipline extends to slack comparisons.
-    """
-    rx, ry = float(filter_point[0]), float(filter_point[1])
-    fx = max(abs(rx - box.min_x), abs(rx - box.max_x))
-    fy = max(abs(ry - box.min_y), abs(ry - box.max_y))
-    max_dist = math.sqrt(fx * fx + fy * fy)
-    best = float("inf")
-    for q in query_points:
-        qx, qy = float(q[0]), float(q[1])
-        dx = (
-            box.min_x - qx
-            if qx < box.min_x
-            else (qx - box.max_x if qx > box.max_x else 0.0)
-        )
-        dy = (
-            box.min_y - qy
-            if qy < box.min_y
-            else (qy - box.max_y if qy > box.max_y else 0.0)
-        )
-        d = dx * dx + dy * dy
-        if d < best:
-            best = d
-    return math.sqrt(best) - max_dist
-
-
-def margin_dominates_point(
-    point: Sequence[float],
-    filter_point: Sequence[float],
-    query_points: Sequence[Sequence[float]],
-    delta: float,
-) -> bool:
-    """Point version of :func:`margin_dominates_bbox`.
-
-    True when ``point`` is provably closer to ``filter_point`` than to every
-    point of *any* query within directed Hausdorff distance ``delta`` of
-    ``query_points`` — i.e. ``dist(p, r) + δ < min_q dist(p, q)``.  The
-    property test in ``tests/test_filtering_properties.py`` asserts the
-    soundness of this bound against the exact predicate at the translated
-    query.
-    """
-    return margin_dominates_bbox(
-        BoundingBox(point[0], point[1], point[0], point[1]),
-        filter_point,
-        query_points,
-        delta,
-    )

@@ -37,6 +37,12 @@ from array import array as _stdlib_array
 from bisect import bisect_left
 from typing import Iterable, List, Sequence, Tuple
 
+from repro.geometry.halfspace import (
+    CONTAINMENT_ABS_MARGIN,
+    CONTAINMENT_REL_MARGIN,
+    box_norm_sq,
+)
+
 try:  # pragma: no cover - exercised via the CI matrix
     import numpy as _np
 except ImportError:  # pragma: no cover
@@ -386,38 +392,55 @@ def box_halfplane_tensor(box, filter_points, query):
     ``box`` is a ``(min_x, min_y, max_x, max_y)`` tuple; ``filter_points``
     and ``query`` are outputs of :func:`pack_points`.  Entry ``[i, j]`` is
     True when the whole box lies strictly inside the half-plane of points
-    closer to filter point ``i`` than to query point ``j`` — the same test
-    as :meth:`repro.geometry.halfspace.HalfPlane.contains_bbox`.
+    closer to filter point ``i`` than to query point ``j`` — the same test,
+    rounding margin included, as
+    :meth:`repro.geometry.halfspace.HalfPlane.contains_bbox`.
     """
     min_x, min_y, max_x, max_y = box
+    box_margin = CONTAINMENT_REL_MARGIN * box_norm_sq(min_x, min_y, max_x, max_y)
     if numpy_available():
         flt = _np.asarray(filter_points, dtype=_np.float64)
         qry = _np.asarray(query, dtype=_np.float64)
         if len(flt) == 0:
             return _np.zeros((0, len(qry)), dtype=bool)
-        rx = flt[:, 0][:, None]
-        ry = flt[:, 1][:, None]
-        qx = qry[:, 0][None, :]
-        qy = qry[:, 1][None, :]
-        a = 2.0 * (rx - qx)
-        b = 2.0 * (ry - qy)
-        c = (rx * rx + ry * ry) - (qx * qx + qy * qy)
+        a, b, base = _halfplane_coefficients(flt, qry)
         # The corner of the box minimising a*x + b*y decides containment.
         x = _np.where(a >= 0, min_x, max_x)
         y = _np.where(b >= 0, min_y, max_y)
-        return a * x + b * y > c
+        return a * x + b * y > base + box_margin
     table = []
     for rx, ry in filter_points:
         row = []
         for qx, qy in query:
             a = 2.0 * (rx - qx)
             b = 2.0 * (ry - qy)
-            c = (rx * rx + ry * ry) - (qx * qx + qy * qy)
+            rr = rx * rx + ry * ry
+            qq = qx * qx + qy * qy
+            base = (rr - qq) + (
+                CONTAINMENT_REL_MARGIN * (rr + qq) + CONTAINMENT_ABS_MARGIN
+            )
             x = min_x if a >= 0 else max_x
             y = min_y if b >= 0 else max_y
-            row.append(a * x + b * y > c)
+            row.append(a * x + b * y > base + box_margin)
         table.append(row)
     return table
+
+
+def _halfplane_coefficients(flt, qry):
+    """``(a, b, base)`` arrays of shape ``(F, Q)`` for every filter/query pair.
+
+    ``a*x + b*y > base + margin(box)`` is the containment test of
+    :meth:`repro.geometry.halfspace.HalfPlane.contains_bbox`, with ``base``
+    the bisector constant plus the pair's share of the rounding margin.
+    """
+    rx = flt[:, 0][:, None]
+    ry = flt[:, 1][:, None]
+    qx = qry[:, 0][None, :]
+    qy = qry[:, 1][None, :]
+    rr = rx * rx + ry * ry
+    qq = qx * qx + qy * qy
+    base = (rr - qq) + (CONTAINMENT_REL_MARGIN * (rr + qq) + CONTAINMENT_ABS_MARGIN)
+    return 2.0 * (rx - qx), 2.0 * (ry - qy), base
 
 
 def boxes_halfplane_tensor(boxes, filter_points, query):
@@ -434,16 +457,15 @@ def boxes_halfplane_tensor(boxes, filter_points, query):
         qry = _np.asarray(query, dtype=_np.float64)
         if len(bxs) == 0 or len(flt) == 0:
             return _np.zeros((len(bxs), len(flt), len(qry)), dtype=bool)
-        rx = flt[:, 0][None, :, None]
-        ry = flt[:, 1][None, :, None]
-        qx = qry[:, 0][None, None, :]
-        qy = qry[:, 1][None, None, :]
-        a = 2.0 * (rx - qx)
-        b = 2.0 * (ry - qy)
-        c = (rx * rx + ry * ry) - (qx * qx + qy * qy)
+        a, b, base = _halfplane_coefficients(flt, qry)
+        a = a[None, :, :]
+        b = b[None, :, :]
+        norm_x = _np.maximum(_np.abs(bxs[:, 0]), _np.abs(bxs[:, 2]))
+        norm_y = _np.maximum(_np.abs(bxs[:, 1]), _np.abs(bxs[:, 3]))
+        box_margin = CONTAINMENT_REL_MARGIN * (norm_x * norm_x + norm_y * norm_y)
         x = _np.where(a >= 0, bxs[:, 0][:, None, None], bxs[:, 2][:, None, None])
         y = _np.where(b >= 0, bxs[:, 1][:, None, None], bxs[:, 3][:, None, None])
-        return a * x + b * y > c
+        return a * x + b * y > base[None, :, :] + box_margin[:, None, None]
     return [box_halfplane_tensor(box, filter_points, query) for box in boxes]
 
 
@@ -526,59 +548,6 @@ def points_in_filtering_space(points, filter_point, query):
                 break
         out.append(ok)
     return out
-
-
-def boxes_margin_slack(boxes, filter_points, query):
-    """``(B, F)`` δ-margin slack matrix for the query-locality engine.
-
-    Entry ``[b, f]`` is
-
-        MinDist(box b, query)  −  MaxDist(box b, filter point f)
-
-    — the largest δ below which the margin predicate prunes box ``b`` with
-    filter point ``f`` (distances, not squared distances — the margin is
-    additive, so this is the one place the engine takes square roots;
-    ``sqrt`` is correctly rounded by IEEE 754, keeping the backends bitwise
-    identical).  This is the block version of
-    :func:`repro.geometry.halfspace.margin_slack_bbox`: ``slack > delta``
-    proves box ``b`` lies inside the filtering space ``H_{f:Q′}`` of *every*
-    query ``Q′`` within directed Hausdorff distance ``delta`` of ``query``.
-    """
-    if numpy_available():
-        bxs = _np.asarray(boxes, dtype=_np.float64)
-        flt = _np.asarray(filter_points, dtype=_np.float64)
-        qry = _np.asarray(query, dtype=_np.float64)
-        if len(bxs) == 0 or len(flt) == 0:
-            return _np.zeros((len(bxs), len(flt)), dtype=_np.float64)
-        rx = flt[:, 0][None, :]
-        ry = flt[:, 1][None, :]
-        fx = _np.maximum(
-            _np.abs(rx - bxs[:, 0][:, None]), _np.abs(rx - bxs[:, 2][:, None])
-        )
-        fy = _np.maximum(
-            _np.abs(ry - bxs[:, 1][:, None]), _np.abs(ry - bxs[:, 3][:, None])
-        )
-        max_dist = _np.sqrt(fx * fx + fy * fy)
-        qx = qry[:, 0][None, :]
-        qy = qry[:, 1][None, :]
-        dx = _np.maximum(bxs[:, 0][:, None] - qx, 0.0) + _np.maximum(
-            qx - bxs[:, 2][:, None], 0.0
-        )
-        dy = _np.maximum(bxs[:, 1][:, None] - qy, 0.0) + _np.maximum(
-            qy - bxs[:, 3][:, None], 0.0
-        )
-        min_dist = _np.sqrt((dx * dx + dy * dy).min(axis=1))
-        return min_dist[:, None] - max_dist
-    from repro.geometry.bbox import BoundingBox
-    from repro.geometry.halfspace import margin_slack_bbox
-
-    table = []
-    for min_x, min_y, max_x, max_y in boxes:
-        box = BoundingBox(min_x, min_y, max_x, max_y)
-        table.append(
-            [margin_slack_bbox(box, r, query) for r in filter_points]
-        )
-    return table
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.geometry.bbox import BoundingBox
-from repro.geometry.halfspace import bisector_halfplane, point_closer_to
+from repro.geometry.halfspace import point_closer_to, points_dominate_bbox
 
 
 def voronoi_prunes_point(
@@ -63,12 +63,4 @@ def voronoi_prunes_bbox(
     """
     if not route_points:
         return False
-    for q in query_points:
-        dominated = False
-        for r in route_points:
-            if bisector_halfplane(q, r).contains_bbox(box):
-                dominated = True
-                break
-        if not dominated:
-            return False
-    return True
+    return points_dominate_bbox(box, route_points, query_points)

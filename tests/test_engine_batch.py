@@ -15,8 +15,13 @@ import pytest
 
 from repro.core.baseline import rknnt_bruteforce
 from repro.core.filtering import FilterRefineEngine
-from repro.core.rknnt import DIVIDE_CONQUER, METHODS, RkNNTProcessor
+from repro.core.rknnt import DIVIDE_CONQUER, METHODS, VORONOI, RkNNTProcessor
+from repro.data.workloads import QueryWorkload, make_city
+from repro.engine import executor
+from repro.engine.plan import QueryPlan
+from repro.engine.resilience import Deadline, DeadlineExceeded
 from repro.geometry.kernels import numpy_available
+from repro.model.route import Route
 from repro.model.transition import Transition
 from repro.planning.precompute import VertexRkNNTIndex
 
@@ -24,6 +29,18 @@ K = 3
 QUERY_COUNT = 6
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+NON_DECOMPOSED = [method for method in METHODS if method != DIVIDE_CONQUER]
+#: Every traversal and verification counter of QueryStatistics (the phase
+#: timings are the only fields left out).
+COUNTERS = (
+    "route_nodes_visited",
+    "transition_nodes_visited",
+    "filter_points",
+    "nodes_pruned",
+    "candidates",
+    "confirmed_points",
+    "subqueries",
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +99,106 @@ class TestBatchEquivalence:
         assert mini_processor.engine_context.subquery_hits > hits_before
         for a, b in zip(first, second):
             assert a.confirmed_endpoints == b.confirmed_endpoints
+
+
+class TestBatchDoesPerQueryWork:
+    """A batch is one plain ``execute`` per job: with cold caches it does
+    exactly the traversal and verification work of the single queries.
+    (Divide & conquer batches share the sub-query memo across jobs, which
+    single queries do not, so only the non-decomposed methods compare.)"""
+
+    @pytest.mark.parametrize("method", NON_DECOMPOSED)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_counters_equal_single_query_counters(
+        self, mini_processor, batch_queries, method, backend
+    ):
+        mini_processor.engine_context.clear_caches()
+        singles = [
+            mini_processor.query(q, K, method=method, backend=backend)
+            for q in batch_queries
+        ]
+        mini_processor.engine_context.clear_caches()
+        batch = mini_processor.query_batch(
+            batch_queries, K, method=method, backend=backend
+        )
+        for single, batched in zip(singles, batch):
+            for field in COUNTERS:
+                assert getattr(batched.stats, field) == getattr(
+                    single.stats, field
+                ), field
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_memoised_batch_does_no_traversal_work(
+        self, mini_processor, batch_queries, backend
+    ):
+        mini_processor.engine_context.clear_caches()
+        first = mini_processor.query_batch(
+            batch_queries, K, method=DIVIDE_CONQUER, backend=backend
+        )
+        second = mini_processor.query_batch(
+            batch_queries, K, method=DIVIDE_CONQUER, backend=backend
+        )
+        for query, a, b in zip(batch_queries, first, second):
+            assert b.confirmed_endpoints == a.confirmed_endpoints
+            # Every sub-query is an exact memo hit: counted, not executed.
+            assert b.stats.subqueries == len(query)
+            for field in COUNTERS:
+                if field != "subqueries":
+                    assert getattr(b.stats, field) == 0, field
+
+
+class TestContainmentMarginOnRealisticData:
+    """The box prune's rounding margin only withholds near-ties: on the
+    mini workload every traversal decision and answer is the one the bare
+    linear test makes (margins zeroed), so the margin costs no pruning."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_margin_changes_no_decision(
+        self, mini_processor, batch_queries, monkeypatch, method, backend
+    ):
+        from repro.geometry import halfspace, kernels
+
+        mini_processor.engine_context.clear_caches()
+        with_margin = mini_processor.query_batch(
+            batch_queries, K, method=method, backend=backend
+        )
+        for module in (halfspace, kernels):
+            monkeypatch.setattr(module, "CONTAINMENT_REL_MARGIN", 0.0)
+            monkeypatch.setattr(module, "CONTAINMENT_ABS_MARGIN", 0.0)
+        mini_processor.engine_context.clear_caches()
+        bare = mini_processor.query_batch(
+            batch_queries, K, method=method, backend=backend
+        )
+        for a, b in zip(with_margin, bare):
+            assert a.confirmed_endpoints == b.confirmed_endpoints
+            for field in COUNTERS:
+                assert getattr(a.stats, field) == getattr(b.stats, field), field
+
+
+class TestExecuteBatch:
+    def test_expired_deadline_stops_before_the_next_job(
+        self, mini_processor, batch_queries, monkeypatch
+    ):
+        now = [0.0]
+        deadline = Deadline(1.0, clock=lambda: now[0])
+        real_execute = executor.execute
+        calls = []
+
+        def expire_after_first(*args, **kwargs):
+            calls.append(args)
+            result = real_execute(*args, **kwargs)
+            now[0] = 1.0
+            return result
+
+        monkeypatch.setattr(executor, "execute", expire_after_first)
+        jobs = [(query, frozenset()) for query in batch_queries[:3]]
+        with pytest.raises(DeadlineExceeded):
+            executor.execute_batch(
+                mini_processor.engine_context, jobs, K,
+                QueryPlan.for_method("voronoi"), "exists", deadline=deadline,
+            )
+        assert len(calls) == 1
 
 
 class TestDynamicUpdates:
@@ -187,3 +304,97 @@ class TestDivideConquerStats:
         # smaller than any single phase observation would allow.
         assert stats.filtering_seconds > 0.0
         assert stats.verification_seconds >= 0.0
+
+
+class TestInvalidationUnderChurn:
+    """Warm caches must never outlive the data they answered.
+
+    An interleaved churn script — transition inserts, deletes, a route
+    added and removed — runs against a processor whose caches were warmed
+    once and never cleared: after every mutation the batch answers must
+    match the brute-force oracle recomputed from the mutated datasets,
+    serially and through fork and spawn worker pools (which see the churn
+    as delta syncs and route-churn reseeds)."""
+
+    def _queries(self, city):
+        return QueryWorkload(city, seed=17).query_routes(
+            6, length=3, interval=0.7
+        )
+
+    def _run_script(self, processor, check):
+        """Mutate, then verify, six times: insert/insert/delete transitions
+        interleaved with a route appearing and disappearing."""
+        first = processor.transitions.next_id()
+        processor.add_transition(Transition(first, (2.1, 2.1), (2.4, 2.6)))
+        check("insert first transition")
+        second = processor.transitions.next_id()
+        processor.add_transition(Transition(second, (3.1, 2.2), (2.6, 2.9)))
+        check("insert second transition")
+        processor.remove_transition(first)
+        check("delete first transition")
+        route = Route(
+            processor.routes.next_id(),
+            [(2.2, 2.1), (2.6, 2.4), (3.0, 2.8)],
+        )
+        processor.add_route(route)
+        check("add route")
+        processor.remove_route(route.route_id)
+        check("remove route")
+        processor.remove_transition(second)
+        check("delete second transition")
+
+    @staticmethod
+    def _assert_matches_oracle(processor, queries, results, label):
+        for index, (result, query) in enumerate(zip(results, queries)):
+            oracle = rknnt_bruteforce(
+                processor.routes, processor.transitions, query, K
+            )
+            assert result.confirmed_endpoints == oracle.confirmed_endpoints, (
+                f"{label}: stale answer at query {index}"
+            )
+            assert result.transition_ids == oracle.transition_ids, (
+                f"{label}: stale transitions at query {index}"
+            )
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_serial_answers_track_churn(self, method, backend):
+        city, transitions = make_city("mini")
+        processor = RkNNTProcessor(city.routes, transitions)
+        queries = self._queries(city)
+        # Warm every cache once; from here on each mutation must
+        # invalidate on its own — the caches are never cleared again.
+        processor.query_batch(queries, K, method=method, backend=backend)
+
+        def check(label):
+            results = processor.query_batch(
+                queries, K, method=method, backend=backend
+            )
+            self._assert_matches_oracle(processor, queries, results, label)
+
+        self._run_script(processor, check)
+
+    @pytest.mark.parametrize("method", [VORONOI, DIVIDE_CONQUER])
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pooled_answers_track_churn(self, start_method, method):
+        import multiprocessing
+
+        from repro.engine.parallel import ShardedExecutor
+
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable on this platform")
+        city, transitions = make_city("mini")
+        processor = RkNNTProcessor(city.routes, transitions)
+        queries = self._queries(city)
+        jobs = [(tuple(map(tuple, q)), frozenset()) for q in queries]
+        plan = QueryPlan.for_method(method, share_subquery_cache=True)
+        with ShardedExecutor(
+            processor.engine_context, workers=2, start_method=start_method
+        ) as pool:
+            pool.run(jobs, K, plan)  # warm the workers' caches
+
+            def check(label):
+                results = pool.run(jobs, K, plan)
+                self._assert_matches_oracle(processor, queries, results, label)
+
+            self._run_script(processor, check)

@@ -1,32 +1,19 @@
-"""Block-expansion traversal and chunked route-matrix equivalence tests.
+"""Block kernels, block-expanding kNN traversal and chunked route matrix.
 
-The block-expansion filter traversal must make *identical* decisions to the
-node-at-a-time loop: same confirmed endpoints, same node visit counts, same
-pruning counts, same filter set — per method and per backend.  Likewise the
-chunked verification matrix must confirm exactly the same endpoints for any
-block-row bound, and the block-expanding kNN traversals must agree with the
-brute-force count.
+The chunked verification matrix must confirm exactly the same endpoints for
+any block-row bound, and the block-expanding kNN traversals must agree with
+the brute-force count.
 """
-
-from dataclasses import replace
 
 import pytest
 
 from repro.core.baseline import rknnt_bruteforce
 from repro.core.knn import count_routes_within, count_routes_within_sq
-from repro.core.rknnt import METHODS, RkNNTProcessor
+from repro.core.rknnt import RkNNTProcessor
 from repro.engine.context import (
     DEFAULT_MATRIX_BLOCK_ROWS,
     MATRIX_BLOCK_ROWS_ENV,
     matrix_block_rows,
-)
-from repro.engine.executor import run_stages
-from repro.engine.plan import (
-    TRAVERSAL_BLOCK,
-    TRAVERSAL_ENV,
-    TRAVERSAL_NODE,
-    QueryPlan,
-    default_filter_traversal,
 )
 from repro.geometry import kernels
 from repro.geometry.bbox import BoundingBox
@@ -34,18 +21,6 @@ from repro.geometry.kernels import numpy_available
 from repro.index.route_index import RouteIndex
 
 K = 3
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
-
-#: Traversal counters that must match exactly between the two styles.
-TRAVERSAL_COUNTERS = (
-    "route_nodes_visited",
-    "transition_nodes_visited",
-    "filter_points",
-    "nodes_pruned",
-    "candidates",
-    "confirmed_points",
-    "subqueries",
-)
 
 
 @pytest.fixture(scope="module")
@@ -53,48 +28,6 @@ def block_queries(mini_workload):
     queries = mini_workload.query_routes(5, length=4, interval=0.8)
     queries.append(queries[0][:1])
     return queries
-
-
-class TestBlockTraversalEquivalence:
-    @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_results_and_visit_counts_identical(
-        self, mini_processor, block_queries, method, backend
-    ):
-        context = mini_processor.engine_context
-        for query in block_queries:
-            plan = QueryPlan.for_method(method, backend=backend).resolved()
-            block_plan = replace(plan, filter_traversal=TRAVERSAL_BLOCK)
-            node_plan = replace(plan, filter_traversal=TRAVERSAL_NODE)
-            confirmed_block, stats_block = run_stages(
-                context, query, K, block_plan
-            )
-            confirmed_node, stats_node = run_stages(context, query, K, node_plan)
-            assert confirmed_block == confirmed_node
-            for counter in TRAVERSAL_COUNTERS:
-                assert getattr(stats_block, counter) == getattr(
-                    stats_node, counter
-                ), counter
-
-    def test_traversal_env_override(self, monkeypatch):
-        monkeypatch.setenv(TRAVERSAL_ENV, "node")
-        assert default_filter_traversal() == TRAVERSAL_NODE
-        assert (
-            QueryPlan.for_method("voronoi").resolved().filter_traversal
-            == TRAVERSAL_NODE
-        )
-        monkeypatch.setenv(TRAVERSAL_ENV, "block")
-        assert default_filter_traversal() == TRAVERSAL_BLOCK
-        monkeypatch.setenv(TRAVERSAL_ENV, "typo")
-        assert default_filter_traversal() == TRAVERSAL_BLOCK
-        monkeypatch.delenv(TRAVERSAL_ENV)
-        assert default_filter_traversal() == TRAVERSAL_BLOCK
-
-    def test_invalid_traversal_rejected(self):
-        with pytest.raises(ValueError):
-            replace(
-                QueryPlan.for_method("voronoi"), filter_traversal="bogus"
-            ).resolved()
 
 
 class TestBlockKernels:

@@ -22,6 +22,7 @@ from repro.geometry.halfspace import (
     filtering_space_contains_bbox,
     filtering_space_contains_point,
 )
+from repro.geometry.point import squared_euclidean
 from repro.geometry.voronoi import voronoi_prunes_bbox
 
 coord = st.floats(
@@ -74,6 +75,39 @@ def test_halfplane_tensor_matches_contains_bbox(box_tuple, filters, query):
         for j, query_point in enumerate(query):
             expected = bisector_halfplane(query_point, filter_point).contains_bbox(bbox)
             assert bool(tensor[i][j]) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(box_tuple=box(), filters=points, query=points)
+def test_halfplane_tensor_implies_strict_squared_order(box_tuple, filters, query):
+    # A True entry is a pruning certificate: no tolerance, every corner must
+    # be strictly closer to the filter point in squared float distance.
+    tensor = kernels.box_halfplane_tensor(
+        box_tuple, kernels.pack_points(filters), kernels.pack_points(query)
+    )
+    for i, filter_point in enumerate(filters):
+        for j, query_point in enumerate(query):
+            if tensor[i][j]:
+                for corner in as_bbox(box_tuple).corners():
+                    assert squared_euclidean(corner, filter_point) < squared_euclidean(
+                        corner, query_point
+                    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(bxs=boxes, filters=points, query=points)
+def test_block_tensor_implies_strict_squared_order(bxs, filters, query):
+    block = kernels.boxes_halfplane_tensor(
+        kernels.pack_boxes(bxs), kernels.pack_points(filters), kernels.pack_points(query)
+    )
+    for b, box_tuple in enumerate(bxs):
+        for i, filter_point in enumerate(filters):
+            for j, query_point in enumerate(query):
+                if block[b][i][j]:
+                    for corner in as_bbox(box_tuple).corners():
+                        assert squared_euclidean(
+                            corner, filter_point
+                        ) < squared_euclidean(corner, query_point)
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,6 +8,7 @@ from repro.geometry.bbox import BoundingBox
 from repro.geometry.halfspace import (
     bbox_inside_halfplane,
     bisector_halfplane,
+    box_norm_sq,
     filtering_space_contains_bbox,
     filtering_space_contains_point,
     point_closer_to,
@@ -59,6 +60,31 @@ class TestHalfPlane:
         assert not plane.contains_bbox(BoundingBox(-1, 3, 1, 5))
 
 
+class TestContainmentMargin:
+    @given(x1=coord, y1=coord, x2=coord, y2=coord)
+    def test_box_norm_is_the_largest_corner_norm(self, x1, y1, x2, y2):
+        box = BoundingBox(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+        corner_norms = [x * x + y * y for x, y in box.corners()]
+        assert box_norm_sq(box.min_x, box.min_y, box.max_x, box.max_y) == max(
+            corner_norms
+        )
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6, 1e12])
+    def test_margin_keeps_clear_separations_at_every_scale(self, scale):
+        # The margin is relative to the squared coordinate magnitude, so a
+        # box well inside H_{r:q} is pruned however far from the origin.
+        r = (1000.0 * scale, 1000.0 * scale)
+        q = (1004.0 * scale, 1000.0 * scale)
+        inside = BoundingBox(
+            999.0 * scale, 999.0 * scale, 1001.5 * scale, 1001.0 * scale
+        )
+        straddling = BoundingBox(
+            999.0 * scale, 999.0 * scale, 1002.5 * scale, 1001.0 * scale
+        )
+        assert bbox_inside_halfplane(inside, r, q)
+        assert not bbox_inside_halfplane(straddling, r, q)
+
+
 class TestPointCloserTo:
     def test_simple(self):
         assert point_closer_to((1, 0), (0, 0), (10, 0))
@@ -102,6 +128,31 @@ class TestBBoxInsideHalfplane:
                 d2_r = squared_euclidean(corner, r)
                 d2_q = squared_euclidean(corner, q)
                 assert d2_r <= d2_q + 1e-9 * (1.0 + d2_r + d2_q)
+
+    @given(
+        r=points,
+        q=points,
+        x1=coord,
+        y1=coord,
+        x2=coord,
+        y2=coord,
+        tx=st.floats(min_value=0, max_value=1),
+        ty=st.floats(min_value=0, max_value=1),
+    )
+    def test_bbox_containment_implies_strict_squared_order(
+        self, r, q, x1, y1, x2, y2, tx, ty
+    ):
+        # No tolerance: a pruned box must hold only points whose squared
+        # distance to r is strictly below their squared distance to q, in
+        # the float expressions the verification stage evaluates.
+        box = BoundingBox(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+        if bbox_inside_halfplane(box, r, q):
+            inner = (
+                box.min_x + tx * (box.max_x - box.min_x),
+                box.min_y + ty * (box.max_y - box.min_y),
+            )
+            for p in [*box.corners(), inner]:
+                assert squared_euclidean(p, r) < squared_euclidean(p, q)
 
     def test_degenerate_box_matches_point_test(self):
         r, q = (0.0, 0.0), (4.0, 0.0)
@@ -209,3 +260,17 @@ class TestSubnormalRegressions:
         # ``squared_tie`` instead of asserting exact agreement.
         assert bisector_halfplane(q, r).contains_point(p)
         assert squared_tie(squared_euclidean(p, r), squared_euclidean(p, q))
+
+    def test_box_prune_leaves_squared_ties_to_verification(self):
+        # The linear form alone places p strictly on r's side (above), but
+        # the squares tie, so pruning a box around p would drop a point the
+        # verification stage keeps.  The containment margin refuses it.
+        p, r, q = (-1.0, 0.0), (1e-170, 0.0), (2e-170, 0.0)
+        assert not bbox_inside_halfplane(BoundingBox.from_point(p), r, q)
+        # Route 1 of the pinned RkNNT counterexample: a subnormal step
+        # above the query point, an endpoint far away.
+        endpoint = (8.098682749008287, 15.675971780695452)
+        r, q = (0.0, 1.177786027392801e-276), (0.0, 0.0)
+        assert squared_euclidean(endpoint, r) == squared_euclidean(endpoint, q)
+        assert bisector_halfplane(q, r).contains_point(endpoint)
+        assert not bbox_inside_halfplane(BoundingBox.from_point(endpoint), r, q)
